@@ -57,15 +57,6 @@ _DIMENSION_LABELS = {
 }
 _DIMENSIONS_BY_LABEL = {label: dim for dim, label in _DIMENSION_LABELS.items()}
 
-# Registry of numeric arc prefixes per dimension. Stored for completeness of
-# the OID model; matching always uses the symbolic dimension prefix instead.
-DIMENSION_ARC_PREFIX = {
-    Dimension.TARGET: 1,
-    Dimension.RISK: 2,
-    Dimension.FUNCTION: 3,
-    Dimension.TECHNIQUE: 4,
-}
-
 # Arcs are unsigned decimal integers without leading zeros, so that
 # parse/format round-trips are exact in both directions.
 _ARC_RE = re.compile(r"^(0|[1-9][0-9]*)$")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import re
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -153,10 +154,13 @@ def mint(
 
 
 class ReplaySet:
-    """Seen-stamp store bounded by the stamp age window. Single-writer."""
+    """Seen-stamp store bounded by the stamp age window. Single-writer.
+
+    Writers add stamps in expiry order, so pruning drops from the front.
+    """
 
     def __init__(self) -> None:
-        self._seen: dict[str, float] = {}
+        self._seen: OrderedDict[str, float] = OrderedDict()
 
     def __contains__(self, stamp_string: str) -> bool:
         return stamp_string in self._seen
@@ -166,7 +170,8 @@ class ReplaySet:
 
     def prune(self, now_epoch: "float | None" = None) -> None:
         cutoff = time.time() if now_epoch is None else now_epoch
-        self._seen = {k: v for k, v in self._seen.items() if v > cutoff}
+        while self._seen and next(iter(self._seen.values())) <= cutoff:
+            self._seen.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._seen)

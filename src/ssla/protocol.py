@@ -7,7 +7,14 @@ negotiation; every later message rides on signatures alone unless policy
 demands a stamp per message.
 
 Rejections never change state: a message is either accepted in full, after
-every check below passes, or refused with a diagnostic.
+every check passes, or refused with a diagnostic.  A proposal is admitted
+in one sequence, each check once and cheapest first: field shapes by type,
+freshness, then for first contact the addressee and the stamp (one SHA-1)
+or for a known negotiation its nonce, phase, round, identities and parity
+(plus the stamp if policy demands one per round), then the sender key and
+RSA signature, the one-open-negotiation rule, and only then the parse of
+each expression and its KB lookup.  Unpaid first contact therefore costs
+the responder no parse, KB lookup or RSA.
 
     round 1        initiator -> responder   proposal (+ stamp)
     round 2        responder -> initiator   counterproposal
@@ -284,31 +291,22 @@ class NegotiationParty:
         return handler(doc)
 
     def receive_proposal(self, doc: dict) -> dict:
-        """Validate a proposal and answer with confirmation, counter, or cancel."""
+        """Admit a proposal, then answer with confirmation, counter, or cancel.
+
+        Admission runs each check once, cheapest first, so unpaid first
+        contact is refused on one SHA-1 before any parse, KB lookup or RSA
+        (the order is documented under "Admission order" in docs/formats.md).
+        """
         body = self._checked_proposal_body(doc)
         negotiation_id = body["negotiation_id"]
-        entries = ExpressionSet.from_strings(
-            SetRole.SSLA_ENTRY, body["requirements"]
-        )
-        peer_caps = ExpressionSet.from_strings(SetRole.CAPABILITY, body["capabilities"])
-        self._require_known_expressions(entries)
-        self._require_known_expressions(peer_caps)
-
         state = self.states.get(negotiation_id)
+        stamp = None
         if state is None:
             if body["round"] != 1:
                 raise UnknownNegotiation(f"no negotiation {negotiation_id}")
             if body["responder"] != self.identity.hex:
                 raise StateViolation("proposal is not addressed to this party")
-            self._require_no_open_negotiation(body["initiator"], body["responder"])
-            stamp = self._verify_proposal_crypto(doc, body)
-            state = NegotiationState(
-                negotiation_id,
-                initiator_hex=body["initiator"],
-                responder_hex=body["responder"],
-                i_am_initiator=False,
-            )
-            self.states[negotiation_id] = state
+            stamp = self._checked_stamp(body)
         else:
             if body["nonce"] in state.seen_nonces:
                 raise ReplayedNonce("nonce already seen in this negotiation")
@@ -327,23 +325,28 @@ class NegotiationParty:
                 raise StateViolation("party identities changed mid-negotiation")
             if round_sender_hex(body) != state.peer_hex:
                 raise StateViolation("round parity does not match the peer's role")
-            stamp = self._verify_proposal_crypto(doc, body)
+            if self.policy.pow_every_round:
+                stamp = self._checked_stamp(body)
+        self._verify_sender(doc, body, expected_hex=round_sender_hex(body))
+        if state is None:
+            self._require_no_open_negotiation(body["initiator"], body["responder"])
+        entries, peer_caps = self._checked_expressions(body)
 
+        if state is None:
+            state = NegotiationState(
+                negotiation_id,
+                initiator_hex=body["initiator"],
+                responder_hex=body["responder"],
+                i_am_initiator=False,
+            )
+            self.states[negotiation_id] = state
         state.transition(Phase.PROPOSAL_RECEIVED)
         state.round = body["round"]
         state.seen_nonces.add(body["nonce"])
         state.history.append(doc)
         state.last_received_proposal = doc
         if stamp is not None:
-            # burn the stamp only once the whole message is accepted, so a
-            # tampered copy cannot spend the honest sender's work
-            pow_policy = self.policy.effective_pow()
-            self.stamp_replays.add(
-                stamp.string(),
-                self.hooks.moment().timestamp()
-                + pow_policy.max_stamp_age
-                + pow_policy.clock_skew,
-            )
+            self._burn_stamp(stamp)
 
         action, detail = self._choose_action(state, body, entries, peer_caps)
         if action == "counter" and body["round"] + 1 > self.policy.max_rounds:
@@ -518,6 +521,7 @@ class NegotiationParty:
     # --- validation helpers ----------------------------------------------------
 
     def _checked_proposal_body(self, doc: dict) -> dict:
+        """Field shapes by type only, then freshness; nothing is parsed yet."""
         fields = {
             "round": int,
             "requirements": list,
@@ -530,14 +534,11 @@ class NegotiationParty:
             raise MalformedDocument("round must be a positive integer")
         if "kb_uri" not in body or "pow" not in body:
             raise MalformedDocument("proposal needs 'kb_uri' and 'pow' fields")
+        if body["pow"] is not None and not isinstance(body["pow"], str):
+            raise MalformedDocument("'pow' must be a stamp string or null")
         for name in ("requirements", "capabilities"):
-            for item in body[name]:
-                if not isinstance(item, str):
-                    raise MalformedDocument(f"{name} entries must be strings")
-                try:
-                    parse_expression(item)
-                except ExpressionSyntaxError as exc:
-                    raise MalformedDocument(f"bad expression in {name}: {exc}") from None
+            if not all(isinstance(item, str) for item in body[name]):
+                raise MalformedDocument(f"{name} entries must be strings")
         self._check_freshness(body["timestamp"])
         return body
 
@@ -567,45 +568,61 @@ class NegotiationParty:
         if not verify(wire.signing_bytes(doc), signature, sender_key):
             raise InvalidSignature("signature does not verify")
 
-    def _verify_proposal_crypto(self, doc: dict, body: dict) -> Optional[HashcashStamp]:
-        # the cheap stamp check runs before the RSA verification; that
-        # ordering is what makes first contact DoS-resistant
-        stamp = None
-        needs_pow = body["round"] == 1 or self.policy.pow_every_round
-        if needs_pow:
-            if body["pow"] is None:
-                raise InvalidPow("proof-of-work stamp required")
-            try:
-                stamp = HashcashStamp.parse(body["pow"])
-                payload = stamp.payload()
-            except ValueError as exc:
-                raise InvalidPow(str(exc)) from None
-            if stamp.string() in self.stamp_replays:
-                raise InvalidPow("stamp rejected: replayed")
-            check = verify_stamp(
-                stamp,
-                self.identity.hex,
-                self.policy.effective_pow(),
-                None,
-                now=self.hooks.moment(),
-            )
-            if not check.ok:
-                raise InvalidPow(f"stamp rejected: {check.code}")
-            if (payload.initiator_hex, payload.responder_hex) != (
-                body["initiator"],
-                body["responder"],
-            ):
-                raise InvalidPow("stamp extension identities do not match the proposal")
-            if body["round"] == 1 and negotiation_id_from(stamp) != body["negotiation_id"]:
-                raise InvalidPow("negotiation ID was not derived from the stamp")
-        self._verify_sender(doc, body, expected_hex=round_sender_hex(body))
+    def _checked_stamp(self, body: dict) -> HashcashStamp:
+        # one SHA-1 plus lookups: the whole price of refusing unpaid contact
+        if body["pow"] is None:
+            raise InvalidPow("proof-of-work stamp required")
+        try:
+            stamp = HashcashStamp.parse(body["pow"])
+            payload = stamp.payload()
+        except ValueError as exc:
+            raise InvalidPow(str(exc)) from None
+        if stamp.string() in self.stamp_replays:
+            raise InvalidPow("stamp rejected: replayed")
+        check = verify_stamp(
+            stamp,
+            self.identity.hex,
+            self.policy.effective_pow(),
+            None,
+            now=self.hooks.moment(),
+        )
+        if not check.ok:
+            raise InvalidPow(f"stamp rejected: {check.code}")
+        if (payload.initiator_hex, payload.responder_hex) != (
+            body["initiator"],
+            body["responder"],
+        ):
+            raise InvalidPow("stamp extension identities do not match the proposal")
+        if body["round"] == 1 and negotiation_id_from(stamp) != body["negotiation_id"]:
+            raise InvalidPow("negotiation ID was not derived from the stamp")
         return stamp
 
-    def _require_known_expressions(self, exprs) -> None:
+    def _burn_stamp(self, stamp: HashcashStamp) -> None:
+        # only an accepted message burns its stamp, so a tampered copy cannot
+        # spend the honest sender's work; a stamp may be dated clock_skew
+        # ahead, which keeps it acceptable by age that much longer
+        pow_policy = self.policy.effective_pow()
+        now = self.hooks.moment().timestamp()
+        self.stamp_replays.prune(now)
+        self.stamp_replays.add(
+            stamp.string(), now + pow_policy.max_stamp_age + 2 * pow_policy.clock_skew
+        )
+
+    def _checked_expressions(self, body: dict) -> tuple[ExpressionSet, ExpressionSet]:
+        """Parse each entry once, then require every OID to be in the KB."""
+        parsed = {}
+        for name in ("requirements", "capabilities"):
+            try:
+                parsed[name] = tuple(parse_expression(text) for text in body[name])
+            except ExpressionSyntaxError as exc:
+                raise MalformedDocument(f"bad expression in {name}: {exc}") from None
+        entries = ExpressionSet(SetRole.SSLA_ENTRY, parsed["requirements"])
+        peer_caps = ExpressionSet(SetRole.CAPABILITY, parsed["capabilities"])
         # unknown OIDs are reported up front, never silently passed along
-        for expr in exprs:
+        for expr in (*entries, *peer_caps):
             for segment in expr.segments:
                 self.kb.require_known(segment)
+        return entries, peer_caps
 
     def _known_state(self, negotiation_id: str) -> NegotiationState:
         state = self.states.get(negotiation_id)

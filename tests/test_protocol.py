@@ -1,10 +1,23 @@
 import copy
+import random
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SCENARIO_REQUIREMENTS, SCENARIO_SSLA, make_sp, make_user
+from conftest import (
+    SCENARIO_REQUIREMENTS,
+    SCENARIO_SP_CAPS,
+    SCENARIO_SSLA,
+    TEST_POLICY,
+    make_sp,
+    make_user,
+)
 
+import ssla.expression
+import ssla.identity
+import ssla.protocol
 from ssla import wire
 from ssla.errors import (
     InvalidPow,
@@ -13,11 +26,12 @@ from ssla.errors import (
     MismatchedEmbedding,
     ReplayedNonce,
     StaleTimestamp,
+    SslaError,
     StateViolation,
     UnknownNegotiation,
     UnknownOidError,
 )
-from ssla.hashcash import PowPolicy
+from ssla.hashcash import ExtensionPayload, PowPolicy, mint, negotiation_id_from
 from ssla.identity import sign
 from ssla.protocol import (
     CANCEL,
@@ -36,6 +50,41 @@ def resign(doc, key):
     doc = copy.deepcopy(doc)
     doc["body"].pop("signature", None)
     return wire.attach_signature(doc, sign(wire.signing_bytes(doc), key))
+
+
+def count_costly_calls(monkeypatch, kb):
+    """Count every parse, KB lookup and RSA verification from here on."""
+    calls = {"parse": 0, "kb": 0, "verify": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (ssla.protocol, ssla.expression):
+        monkeypatch.setattr(module, "parse_expression", counted("parse", module.parse_expression))
+    kb_class = type(kb)
+    monkeypatch.setattr(kb_class, "require_known", counted("kb", kb_class.require_known))
+    for module in (ssla.protocol, ssla.identity):
+        monkeypatch.setattr(module, "verify", counted("verify", module.verify))
+    return calls
+
+
+def responder_snapshot(party):
+    """Everything a rejected message must leave untouched."""
+    return (
+        {nid: (s.phase, s.round, len(s.history)) for nid, s in party.states.items()},
+        dict(party.records),
+        list(party.stamp_replays._seen.items()),
+    )
+
+
+def weak_stamp(resource_hex, initiator_hex, responder_hex):
+    payload = ExtensionPayload(initiator_hex, responder_hex, "ab" * 16)
+    return mint(resource_hex, payload, PowPolicy(required_bits=0), rng=random.Random(3),
+                now=FIXED_INSTANT)
 
 
 def test_initiate_builds_valid_round1(kb, user_key, sp_key):
@@ -170,6 +219,15 @@ def test_pow_not_required_mode(kb, user_key, sp_key):
     # a zero-difficulty stamp still seeds the negotiation id
     assert proposal["body"]["pow"].split(":")[1] == "0"
     assert sp.receive_proposal(proposal)["type"] == CONFIRMATION
+
+
+def test_non_string_pow_is_malformed(kb, user_key, sp_key):
+    user = make_user(kb, user_key)
+    sp = make_sp(kb, sp_key)
+    proposal = copy.deepcopy(user.initiate(sp.identity.hex))
+    proposal["body"]["pow"] = 12345
+    with pytest.raises(MalformedDocument):
+        sp.receive_proposal(proposal)
 
 
 def test_stale_timestamp_rejected(kb, user_key, sp_key):
@@ -448,3 +506,147 @@ def test_build_record_identical_from_both_histories(scenario_run):
     )
     rebuilt_sp = build_record(sp.states[nid].history[-1], sp.states[nid].history)
     assert wire.canonical_bytes(rebuilt_user) == wire.canonical_bytes(rebuilt_sp)
+
+
+JUNK_ENTRIES = 20_000
+
+
+@pytest.mark.parametrize("stamp_kind", ["garbage", "weak"])
+def test_big_unpaid_first_contact_refused_before_any_parse_kb_or_rsa(
+    kb, user_key, sp_key, monkeypatch, stamp_kind
+):
+    user = make_user(kb, user_key)
+    sp = make_sp(kb, sp_key)
+    junk = copy.deepcopy(user.initiate(sp.identity.hex))
+    body = junk["body"]
+    body["capabilities"] = [f"Technique.{9000 + i // 1000}.{i % 1000}" for i in range(JUNK_ENTRIES)]
+    if stamp_kind == "garbage":
+        body["pow"] = "garbage-stamp"
+    else:
+        stamp = weak_stamp(sp.identity.hex, user.identity.hex, sp.identity.hex)
+        body["pow"] = stamp.string()
+        body["negotiation_id"] = negotiation_id_from(stamp)
+    before = responder_snapshot(sp)
+    calls = count_costly_calls(monkeypatch, kb)
+    with pytest.raises(InvalidPow):
+        sp.receive_proposal(junk)
+    assert calls == {"parse": 0, "kb": 0, "verify": 0}
+    assert responder_snapshot(sp) == before
+
+
+KNOWN_AND_UNKNOWN = SCENARIO_REQUIREMENTS + SCENARIO_SP_CAPS + ["Risk.88.88", "Technique.9000.1"]
+entry_lists = st.lists(
+    st.one_of(st.sampled_from(KNOWN_AND_UNKNOWN), st.text(max_size=12), st.integers()),
+    max_size=6,
+)
+stamp_corruptions = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=40),
+    st.tuples(st.integers(min_value=0), st.characters(exclude_categories=("Cs",))),
+)
+
+
+def corrupt_stamp(stamp_text, corruption):
+    if not isinstance(corruption, tuple):
+        return corruption
+    index, char = corruption
+    index %= len(stamp_text)
+    return stamp_text[:index] + char + stamp_text[index + 1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(["pow", "requirements", "capabilities"]),
+    stamp_corruption=stamp_corruptions,
+    entries=entry_lists,
+    resigned=st.booleans(),
+)
+def test_rejected_round1_never_changes_responder_state(
+    kb, user_key, sp_key, other_key, field, stamp_corruption, entries, resigned
+):
+    sp = make_sp(kb, sp_key)
+    # one earlier agreement, so there are records and a burned stamp to keep
+    earlier = make_user(kb, other_key, seed=5, requirements=SCENARIO_SSLA)
+    assert sp.receive_proposal(earlier.initiate(sp.identity.hex))["type"] == CONFIRMATION
+    proposal = copy.deepcopy(make_user(kb, user_key).initiate(sp.identity.hex))
+    body = proposal["body"]
+    if field == "pow":
+        body["pow"] = corrupt_stamp(body["pow"], stamp_corruption)
+    else:
+        body[field] = entries
+    if resigned:
+        proposal = resign(proposal, user_key)
+    before = responder_snapshot(sp)
+    try:
+        sp.receive_proposal(proposal)
+    except SslaError:
+        assert responder_snapshot(sp) == before
+
+
+def pow_every_round_exchange(kb, user_key, sp_key):
+    """A user and provider that stamp every round, and the provider's counter."""
+    policy = ProtocolPolicy(pow=TEST_POLICY.pow, pow_every_round=True)
+    user = make_user(kb, user_key, policy=policy)
+    sp = make_sp(kb, sp_key, policy=policy)
+    counter = sp.receive_proposal(user.initiate(sp.identity.hex))
+    assert counter["type"] == PROPOSAL and counter["body"]["round"] == 2
+    return user, sp, counter
+
+
+def test_pow_every_round_stamps_later_rounds(kb, user_key, sp_key):
+    user, sp, counter = pow_every_round_exchange(kb, user_key, sp_key)
+    assert counter["body"]["pow"] is not None
+    replays = len(user.stamp_replays)
+    confirmation = user.receive_proposal(counter)
+    assert confirmation["type"] == CONFIRMATION
+    assert len(user.stamp_replays) == replays + 1
+
+
+@pytest.mark.parametrize("stamp_kind", ["missing", "weak"])
+def test_pow_every_round_refuses_unpaid_later_round_before_parse(
+    kb, user_key, sp_key, monkeypatch, stamp_kind
+):
+    user, sp, counter = pow_every_round_exchange(kb, user_key, sp_key)
+    unpaid = copy.deepcopy(counter)
+    if stamp_kind == "missing":
+        unpaid["body"]["pow"] = None
+    else:
+        unpaid["body"]["pow"] = weak_stamp(user.identity.hex, user.identity.hex, sp.identity.hex).string()
+    unpaid = resign(unpaid, sp_key)
+    before = responder_snapshot(user)
+    calls = count_costly_calls(monkeypatch, kb)
+    with pytest.raises(InvalidPow):
+        user.receive_proposal(unpaid)
+    assert calls == {"parse": 0, "kb": 0, "verify": 0}
+    assert responder_snapshot(user) == before
+    monkeypatch.undo()
+    # the refusal changed nothing, so the paid counter is still accepted
+    assert user.receive_proposal(counter)["type"] == CONFIRMATION
+
+
+def test_accepted_stamp_prunes_expired_replays_and_rejection_does_not(kb, user_key, sp_key, other_key):
+    clock = [FIXED_INSTANT]
+
+    def hooks(seed):
+        return Hooks(rng=random.Random(seed), now=lambda: clock[0])
+
+    sp = make_sp(kb, sp_key)
+    sp.hooks = hooks(1)
+    first = make_user(kb, user_key, requirements=SCENARIO_SSLA)
+    first.hooks = hooks(2)
+    sp.receive_proposal(first.initiate(sp.identity.hex))
+    assert len(sp.stamp_replays) == 1
+
+    window = TEST_POLICY.pow.max_stamp_age + 2 * TEST_POLICY.pow.clock_skew
+    clock[0] = FIXED_INSTANT + timedelta(seconds=window + 1)
+    second = make_user(kb, other_key, requirements=SCENARIO_SSLA)
+    second.hooks = hooks(3)
+    proposal = second.initiate(sp.identity.hex)
+    junk = copy.deepcopy(proposal)
+    junk["body"]["pow"] = "garbage-stamp"
+    with pytest.raises(InvalidPow):
+        sp.receive_proposal(junk)
+    assert len(sp.stamp_replays) == 1  # a rejection never prunes
+    sp.receive_proposal(proposal)
+    assert list(sp.stamp_replays._seen) == [proposal["body"]["pow"]]

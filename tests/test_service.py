@@ -1,8 +1,10 @@
+import re
 import threading
+from pathlib import Path
 
 from conftest import SCENARIO_SSLA, make_sp, make_user
 
-from ssla import wire
+from ssla import errors, wire
 from ssla.cli import drive_negotiation
 from ssla.expression import Dimension, ExpressionSet, SetRole, parse_expression
 from ssla.hashcash import negotiation_id_from, HashcashStamp
@@ -14,9 +16,12 @@ from ssla.service import (
     KbService,
     LoopbackTransport,
     NegotiationService,
+    ERROR_STATUS,
     RemoteKnowledgeBase,
     serve_http,
 )
+
+FORMATS_MD = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 
 
 def request_translation(transport, expressions, goal, nonce="ab" * 16):
@@ -211,3 +216,20 @@ def test_unknown_route(kb):
     status, reply, _ = transport.request("GET", "/nowhere")
     assert status == 404
     assert reply["body"]["code"] == "not_found"
+
+
+def test_error_registry_covers_every_service_code():
+    section = FORMATS_MD.read_text(encoding="utf-8").split("## Error code registry")[1]
+    registry = {
+        code: int(status)
+        for code, status in re.findall(r"^\| `(\w+)`\s*\| (\d+)\s*\|", section, re.M)
+    }
+    # "error" is the abstract base; "config" stays inside the CLI
+    emitted = {
+        cls.code
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.SslaError)
+    } - {"error", "config"}
+    assert emitted <= set(registry)
+    for code, status in registry.items():
+        assert ERROR_STATUS.get(code, 400) == status, code
