@@ -9,7 +9,10 @@ transcript (with any KB URIs the messages carried) is preserved so a
 disputant can re-run translation out of band.
 
 Every check always runs; the report lists each one individually and the
-verdict is Valid only when all of them pass.
+verdict is Valid only when all of them pass.  Each distinct signed message
+is verified once per audit, keyed by its signing bytes, its signature and
+the key: ``proposal_signature``, ``confirmation_signature`` and
+``transcript`` name their own failures but share that one RSA result.
 """
 
 from __future__ import annotations
@@ -86,6 +89,23 @@ def audit_record(record: dict, initiator_key, responder_key) -> AuditReport:
         )
         if digest is not None
     }
+    # id(message) -> (message, signing bytes, signature); holding the message
+    # keeps its id from being reused while this audit runs
+    parts: dict[int, tuple] = {}
+    verified: dict[tuple, bool] = {}
+
+    def signed_by(message: dict, key_hex: str) -> bool:
+        if id(message) not in parts:
+            parts[id(message)] = (
+                message,
+                wire.signing_bytes(message),
+                wire.extract_signature(message),
+            )
+        _, signed, signature = parts[id(message)]
+        slot = (signed, signature, key_hex)
+        if slot not in verified:
+            verified[slot] = verify(signed, signature, keys_by_hex[key_hex])
+        return verified[slot]
 
     def counterparty(proposal_body: dict) -> str:
         proposer = round_sender_hex(proposal_body)
@@ -94,20 +114,18 @@ def audit_record(record: dict, initiator_key, responder_key) -> AuditReport:
         return proposal_body["initiator"]
 
     def proposal_signature():
-        signer = keys_by_hex.get(round_sender_hex(pbody))
-        if signer is None:
+        signer = round_sender_hex(pbody)
+        if signer not in keys_by_hex:
             return "proposal signature unverifiable: no supplied key matches its sender"
-        if not verify(wire.signing_bytes(proposal), wire.extract_signature(proposal), signer):
+        if not signed_by(proposal, signer):
             return "proposal signature does not verify"
         return None
 
     def confirmation_signature():
-        key = keys_by_hex.get(counterparty(pbody))
-        if key is None:
+        confirmer = counterparty(pbody)
+        if confirmer not in keys_by_hex:
             return "confirmation signature unverifiable: no supplied key matches the confirmer"
-        if not verify(
-            wire.signing_bytes(confirmation), wire.extract_signature(confirmation), key
-        ):
+        if not signed_by(confirmation, confirmer):
             return "confirmation signature does not verify"
         return None
 
@@ -172,11 +190,22 @@ def audit_record(record: dict, initiator_key, responder_key) -> AuditReport:
         transcript = body["transcript"]
         if not transcript:
             return "empty transcript"
-        if wire.canonical_bytes(transcript[-1]) != wire.canonical_bytes(confirmation):
-            return "transcript does not end with the confirmation"
-        if not any(
-            wire.canonical_bytes(m) == wire.canonical_bytes(proposal) for m in transcript
+        # the same object needs no compare; an equal copy gets the full one
+        last = transcript[-1]
+        if last is not confirmation and (
+            wire.canonical_bytes(last) != wire.canonical_bytes(confirmation)
         ):
+            return "transcript does not end with the confirmation"
+        proposal_bytes = None
+        for message in transcript:
+            if message is proposal:
+                break
+            message_bytes = wire.canonical_bytes(message)
+            if proposal_bytes is None:
+                proposal_bytes = wire.canonical_bytes(proposal)
+            if message_bytes == proposal_bytes:
+                break
+        else:
             return "confirmed proposal is missing from the transcript"
         for index, message in enumerate(transcript):
             wire.require_envelope(message)
@@ -184,23 +213,20 @@ def audit_record(record: dict, initiator_key, responder_key) -> AuditReport:
             if mbody["negotiation_id"] != body["negotiation_id"]:
                 return f"transcript[{index}] belongs to another negotiation"
             if message["type"] == PROPOSAL:
-                candidates = [keys_by_hex.get(round_sender_hex(mbody))]
+                senders = [round_sender_hex(mbody)]
             elif message["type"] == CONFIRMATION:
                 embedded = mbody.get("proposal")
                 if not isinstance(embedded, dict):
                     return f"transcript[{index}] confirmation embeds no proposal"
-                candidates = [keys_by_hex.get(counterparty(embedded["body"]))]
+                senders = [counterparty(embedded["body"])]
             elif message["type"] == CANCEL:
-                candidates = list(keys_by_hex.values())  # either party may cancel
+                senders = list(keys_by_hex)  # either party may cancel
             else:
                 return f"transcript[{index}] has unexpected type {message['type']!r}"
-            candidates = [key for key in candidates if key is not None]
+            candidates = [sender for sender in senders if sender in keys_by_hex]
             if not candidates:
                 return f"transcript[{index}] sender is neither supplied identity"
-            if not any(
-                verify(wire.signing_bytes(message), wire.extract_signature(message), key)
-                for key in candidates
-            ):
+            if not any(signed_by(message, sender) for sender in candidates):
                 return f"transcript[{index}] signature does not verify"
         return None
 

@@ -215,6 +215,7 @@ class NegotiationParty:
         self.private_key = private_key
         self.public_key = private_key.public_key()
         self.identity = derive_identity(self.public_key)
+        self.wire_key = public_key_to_wire(self.public_key)
         self.kb = kb
         self.requirements = requirements
         self.capabilities = capabilities
@@ -426,8 +427,6 @@ class NegotiationParty:
                     )
                 if list(counter.entries.to_strings()) == list(body["requirements"]):
                     return "accept", None  # countering would change nothing
-                if body["round"] + 1 > self.policy.max_rounds:
-                    return "cancel", ("max_rounds_exceeded", ())
                 return "counter", counter.entries.to_strings()
         return "accept", None
 
@@ -435,7 +434,7 @@ class NegotiationParty:
         body = {
             "negotiation_id": state.negotiation_id,
             "proposal": proposal_doc,
-            "sender_key": public_key_to_wire(self.public_key),
+            "sender_key": self.wire_key,
             "nonce": self.hooks.nonce_hex(),
             "timestamp": self.hooks.timestamp(),
         }
@@ -494,7 +493,7 @@ class NegotiationParty:
             "capabilities": self.capabilities.to_strings(),
             "initiator": initiator_hex,
             "responder": responder_hex,
-            "sender_key": public_key_to_wire(self.public_key),
+            "sender_key": self.wire_key,
             "nonce": self.hooks.nonce_hex(),
             "timestamp": self.hooks.timestamp(),
             "kb_uri": self.kb_uri,
@@ -507,7 +506,7 @@ class NegotiationParty:
             "negotiation_id": state.negotiation_id,
             "reason": reason,
             "unsatisfiable": list(unsatisfiable),
-            "sender_key": public_key_to_wire(self.public_key),
+            "sender_key": self.wire_key,
             "nonce": self.hooks.nonce_hex(),
             "timestamp": self.hooks.timestamp(),
         }

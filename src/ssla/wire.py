@@ -15,7 +15,6 @@ body's ``signature`` field removed; the embedded signature dict is
 from __future__ import annotations
 
 import base64
-import copy
 import json
 
 from .errors import MalformedDocument, UnsupportedVersion
@@ -25,25 +24,39 @@ WIRE_VERSION = "1"
 
 
 def canonical_bytes(document) -> bytes:
+    try:
+        text = json.dumps(
+            document, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+        )
+    except TypeError:
+        _check_tree(document)  # names the value json could not encode
+        raise
+    # json has walked the tree by now, so it is finite and acyclic
     _check_tree(document)
-    return json.dumps(
-        document, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return text.encode("utf-8")
 
 
-def _check_tree(value) -> None:
-    if isinstance(value, float):
-        raise MalformedDocument("floats are not allowed in wire documents")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise MalformedDocument("document keys must be strings")
-            _check_tree(item)
-    elif isinstance(value, list):
-        for item in value:
-            _check_tree(item)
-    elif value is not None and not isinstance(value, (str, int, bool)):
-        raise MalformedDocument(f"unsupported value type {type(value).__name__}")
+_LEAF_TYPES = frozenset({str, int, bool, type(None)})
+
+
+def _check_tree(document) -> None:
+    """Reject floats, non-string keys and every type JSON has no exact form for."""
+    stack = [document]
+    while stack:
+        value = stack.pop()
+        if type(value) in _LEAF_TYPES:
+            continue
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise MalformedDocument("document keys must be strings")
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, float):
+            raise MalformedDocument("floats are not allowed in wire documents")
+        elif not isinstance(value, (str, int, bool)):
+            raise MalformedDocument(f"unsupported value type {type(value).__name__}")
 
 
 def decode(data: bytes) -> dict:
@@ -72,10 +85,14 @@ def make_document(doc_type: str, body: dict) -> dict:
 
 
 def signing_bytes(document: dict) -> bytes:
-    """Canonical bytes of the document with the body signature removed."""
-    stripped = copy.deepcopy(document)
-    stripped["body"].pop("signature", None)
-    return canonical_bytes(stripped)
+    """Canonical bytes of the document with the body signature removed.
+
+    Only the body is copied, and shallowly: embedded documents keep their
+    own signatures, and the input is left unchanged.
+    """
+    body = document["body"].copy()
+    body.pop("signature", None)
+    return canonical_bytes({**document, "body": body})
 
 
 def attach_signature(document: dict, signature: Signature) -> dict:

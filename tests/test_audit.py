@@ -1,5 +1,7 @@
 import copy
+import json
 
+import ssla.audit
 from ssla import wire
 from ssla.audit import AuditVerdict, audit_record, compare_evidence
 from conftest import run_scenario
@@ -109,6 +111,41 @@ def test_every_field_mutation_flips_audit_to_invalid(scenario_run, user_key, sp_
         assert report.verdict is AuditVerdict.INVALID, f"mutation survived at {path}"
         flipped += 1
     assert flipped == len(paths)
+
+
+def test_mutation_reports_match_their_json_round_trip(scenario_run, user_key, sp_key):
+    # a round trip shares no objects, so any shortcut taken on object identity
+    # or a memoized result must give the same checks, flags and details
+    user_record, _, _, _ = scenario_run
+    initiator = user_key.public_key()
+    responder = sp_key.public_key()
+    mutations = [user_record] + [
+        apply_mutation(user_record, path, mutate_leaf(value))
+        for path, value in leaf_paths(user_record)
+    ]
+    for record in mutations:
+        # json.loads, not wire.decode: a mutated version must still be audited
+        copied = json.loads(wire.canonical_bytes(record))
+        assert audit_record(record, initiator, responder) == audit_record(
+            copied, initiator, responder
+        )
+
+
+def test_each_transcript_message_verified_once(scenario_run, user_key, sp_key, monkeypatch):
+    user_record, _, _, _ = scenario_run
+    calls = []
+    real_verify = ssla.audit.verify
+
+    def counted(*args):
+        calls.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(ssla.audit, "verify", counted)
+    for record in (user_record, json.loads(wire.canonical_bytes(user_record))):
+        calls.clear()
+        report = audit_record(record, user_key.public_key(), sp_key.public_key())
+        assert report.verdict is AuditVerdict.VALID
+        assert len(calls) == len(record["body"]["transcript"]) == 3
 
 
 def test_audit_needs_no_network_or_kb(scenario_run, user_key, sp_key, monkeypatch):

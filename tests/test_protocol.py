@@ -444,6 +444,23 @@ def test_termination_under_forced_countering(kb, user_key, sp_key):
     assert user.states[nid].phase is Phase.CANCELLED or sp.states[nid].phase is Phase.CANCELLED
 
 
+def test_default_strategy_cancels_a_counter_past_max_rounds(kb, user_key, sp_key):
+    # the scenario's vague round 1 draws a counter from the default strategy;
+    # with max_rounds=1 that counter would be round 2, so the responder cancels
+    user = make_user(kb, user_key)
+    countering_sp = make_sp(kb, sp_key)
+    assert countering_sp.receive_proposal(user.initiate(countering_sp.identity.hex))[
+        "type"
+    ] == PROPOSAL
+    policy = ProtocolPolicy(pow=TEST_POLICY.pow, max_rounds=1)
+    user = make_user(kb, user_key, policy=policy)
+    sp = make_sp(kb, sp_key, policy=policy)
+    doc = sp.receive_proposal(user.initiate(sp.identity.hex))
+    assert doc["type"] == CANCEL
+    assert doc["body"]["reason"] == "max_rounds_exceeded"
+    assert sp.states[doc["body"]["negotiation_id"]].phase is Phase.CANCELLED
+
+
 def test_termination_across_strategy_space(kb, user_key, sp_key):
     # exhaustive small strategy space: each side always accepts, always
     # counters, or always cancels on receipt
