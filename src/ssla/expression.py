@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -176,8 +177,13 @@ class ExpressionSet:
     def __contains__(self, expr: SecurityExpression) -> bool:
         return expr in self.items
 
+    @cached_property
+    def _strings(self) -> tuple[str, ...]:
+        # built once, so every message listing this set shares the strings
+        return tuple(str(e) for e in self.items)
+
     def to_strings(self) -> list[str]:
-        return [str(e) for e in self.items]
+        return list(self._strings)
 
     @classmethod
     def from_strings(cls, role: SetRole, texts: Iterable[str]) -> "ExpressionSet":

@@ -25,7 +25,7 @@ import hashlib
 import re
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 DEFAULT_BITS = 12
@@ -33,6 +33,7 @@ DEFAULT_MAX_STAMP_AGE = 600.0  # seconds
 DEFAULT_CLOCK_SKEW = 120.0
 
 _DATE_FORMAT = "%y%m%d%H%M%S"
+_DATE_RE = re.compile(r"(\d\d)(\d\d)(\d\d)(\d\d)(\d\d)(\d\d)", re.ASCII)
 _FIELD_RE = re.compile(r"^[^:\s]*$")  # colon separates stamp fields
 _RAND_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -77,19 +78,18 @@ class HashcashStamp:
     extension: str
     rand: str
     counter: str
+    # the stamp string, built once; parse passes the text it was given
+    # when that text is already the canonical form
+    text: str = field(default="", repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.text:
+            fields = (str(self.version), str(self.bits), self.date, self.resource,
+                      self.extension, self.rand, self.counter)
+            object.__setattr__(self, "text", ":".join(fields))
 
     def string(self) -> str:
-        return ":".join(
-            [
-                str(self.version),
-                str(self.bits),
-                self.date,
-                self.resource,
-                self.extension,
-                self.rand,
-                self.counter,
-            ]
-        )
+        return self.text
 
     def digest(self) -> bytes:
         return hashlib.sha1(self.string().encode("utf-8")).digest()
@@ -107,7 +107,9 @@ class HashcashStamp:
             raise ValueError(f"unsupported stamp version {version!r}")
         if not bits.isdigit():
             raise ValueError(f"bad bits field {bits!r}")
-        return cls(1, int(bits), date, resource, extension, rand, counter)
+        value = int(bits)
+        canonical = text if str(value) == bits else ""  # no leading zeros
+        return cls(1, value, date, resource, extension, rand, counter, canonical)
 
 
 def leading_zero_bits(digest: bytes) -> int:
@@ -148,7 +150,7 @@ def mint(
         digest = hashlib.sha1(candidate.encode("utf-8")).digest()
         if leading_zero_bits(digest) >= policy.required_bits:
             return HashcashStamp(
-                1, policy.required_bits, date, resource, ext, rand, str(counter)
+                1, policy.required_bits, date, resource, ext, rand, str(counter), candidate
             )
         counter += 1
 
@@ -202,9 +204,8 @@ def verify_stamp(
     if stamp.resource != expected_resource:
         return StampCheck(False, "resource_mismatch")
     moment = now if now is not None else datetime.now(timezone.utc)
-    try:
-        stamp_time = datetime.strptime(stamp.date, _DATE_FORMAT).replace(tzinfo=timezone.utc)
-    except ValueError:
+    stamp_time = parse_stamp_date(stamp.date)
+    if stamp_time is None:
         return StampCheck(False, "date_format")
     age = (moment - stamp_time).total_seconds()
     if age > policy.max_stamp_age + policy.clock_skew:
@@ -217,6 +218,23 @@ def verify_stamp(
             return StampCheck(False, "replayed")
         seen.add(key, moment.timestamp() + policy.max_stamp_age + policy.clock_skew)
     return StampCheck(True, "ok")
+
+
+def parse_stamp_date(text: str) -> "datetime | None":
+    """The UTC instant of a 12-ASCII-digit ``YYMMDDhhmmss`` date, or None.
+
+    Two-digit years pivot as ``strptime``'s ``%y`` does: 69-99 are 19xx,
+    00-68 are 20xx.
+    """
+    match = _DATE_RE.fullmatch(text)
+    if match is None:
+        return None
+    yy, month, day, hour, minute, second = map(int, match.groups())
+    year = yy + (1900 if yy >= 69 else 2000)
+    try:
+        return datetime(year, month, day, hour, minute, second, tzinfo=timezone.utc)
+    except ValueError:
+        return None
 
 
 def negotiation_id_from(stamp: HashcashStamp) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature as _CryptoBadSig
 from cryptography.hazmat.primitives import hashes, serialization
@@ -44,7 +45,7 @@ class PartyIdentity:
     id_bytes: bytes
     binding: Binding = Binding.PUBLIC_KEY_HASH
 
-    @property
+    @cached_property
     def hex(self) -> str:
         return self.id_bytes.hex()
 

@@ -8,13 +8,14 @@ demands a stamp per message.
 
 Rejections never change state: a message is either accepted in full, after
 every check passes, or refused with a diagnostic.  A proposal is admitted
-in one sequence, each check once and cheapest first: field shapes by type,
+in one sequence, each check once and cheapest first: the O(1) field shapes,
 freshness, then for first contact the addressee and the stamp (one SHA-1)
 or for a known negotiation its nonce, phase, round, identities and parity
-(plus the stamp if policy demands one per round), then the sender key and
-RSA signature, the one-open-negotiation rule, and only then the parse of
-each expression and its KB lookup.  Unpaid first contact therefore costs
-the responder no parse, KB lookup or RSA.
+(plus the stamp if policy demands one per round), then the type of every
+list item, the sender key and RSA signature, the one-open-negotiation rule,
+and only then the parse of each expression and its KB lookup.  Unpaid first
+contact therefore costs the responder no work that grows with the message:
+no per-item check, parse, KB lookup or RSA.
 
     round 1        initiator -> responder   proposal (+ stamp)
     round 2        responder -> initiator   counterproposal
@@ -37,6 +38,7 @@ copies of a paper contract.
 from __future__ import annotations
 
 import random
+import re
 import secrets
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -83,6 +85,7 @@ TRANSLATION_REQUEST = "translation.request"
 TRANSLATION_REPLY = "translation.reply"
 
 _TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_TIME_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
 
 # Frozen instant used by deterministic hooks so reproducible runs do not
 # depend on the wall clock.
@@ -117,10 +120,14 @@ class Hooks:
 
 
 def parse_timestamp(text: str) -> datetime:
-    try:
-        return datetime.strptime(text, _TIME_FORMAT).replace(tzinfo=timezone.utc)
-    except (TypeError, ValueError):
-        raise MalformedDocument(f"bad timestamp {text!r}") from None
+    """Parse exactly the zero-padded ``YYYY-MM-DDTHH:MM:SSZ`` that ``Hooks`` writes."""
+    match = _TIME_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is not None:
+        try:
+            return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
+        except ValueError:
+            pass  # a field out of range, such as month 13
+    raise MalformedDocument(f"bad timestamp {text!r}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,7 @@ LEGAL_TRANSITIONS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class NegotiationState:
     negotiation_id: str
     initiator_hex: str
@@ -171,13 +178,15 @@ class NegotiationState:
     phase: Phase = Phase.IDLE
     round: int = 0
     history: list = field(default_factory=list)  # append-only message documents
-    seen_nonces: set = field(default_factory=set)
     last_sent_proposal: Optional[dict] = None
-    last_received_proposal: Optional[dict] = None
 
     @property
     def peer_hex(self) -> str:
         return self.responder_hex if self.i_am_initiator else self.initiator_hex
+
+    def saw_nonce(self, nonce: str) -> bool:
+        """Every message sent or accepted is in the history, each with its nonce."""
+        return any(doc["body"]["nonce"] == nonce for doc in self.history)
 
     def transition(self, new_phase: Phase) -> None:
         if (self.phase, new_phase) not in LEGAL_TRANSITIONS:
@@ -226,6 +235,10 @@ class NegotiationParty:
         self.hooks = hooks or Hooks()
         self.states: dict[str, NegotiationState] = {}
         self.records: dict[str, dict] = {}
+        # (initiator, responder) -> the pair's most recently updated state;
+        # a pair's only open state, if it has one, since a new state needs
+        # the pair free and terminal states never change again
+        self._pair_states: dict[tuple[str, str], NegotiationState] = {}
         self.stamp_replays = ReplaySet()
 
     # --- outbound ---------------------------------------------------------
@@ -258,12 +271,7 @@ class NegotiationParty:
             responder_hex=responder_identity_hex,
             i_am_initiator=True,
         )
-        state.transition(Phase.PROPOSAL_SENT)
-        state.round = 1
-        state.seen_nonces.add(doc["body"]["nonce"])
-        state.history.append(doc)
-        state.last_sent_proposal = doc
-        self.states[negotiation_id] = state
+        self._advance(state, Phase.PROPOSAL_SENT, doc)
         return doc
 
     def cancel(self, negotiation_id: str, reason: str, unsatisfiable=()) -> dict:
@@ -271,9 +279,7 @@ class NegotiationParty:
         if state.phase in TERMINAL_PHASES:
             raise StateViolation(f"cannot cancel a negotiation in phase {state.phase.value}")
         doc = self._make_cancel(state, reason, unsatisfiable)
-        state.transition(Phase.CANCELLED)
-        state.seen_nonces.add(doc["body"]["nonce"])
-        state.history.append(doc)
+        self._advance(state, Phase.CANCELLED, doc)
         return doc
 
     # --- inbound ------------------------------------------------------------
@@ -309,7 +315,7 @@ class NegotiationParty:
                 raise StateViolation("proposal is not addressed to this party")
             stamp = self._checked_stamp(body)
         else:
-            if body["nonce"] in state.seen_nonces:
+            if state.saw_nonce(body["nonce"]):
                 raise ReplayedNonce("nonce already seen in this negotiation")
             if state.phase in TERMINAL_PHASES:
                 raise StateViolation(f"negotiation already {state.phase.value}")
@@ -328,6 +334,9 @@ class NegotiationParty:
                 raise StateViolation("round parity does not match the peer's role")
             if self.policy.pow_every_round:
                 stamp = self._checked_stamp(body)
+        for name in ("requirements", "capabilities"):
+            if not all(isinstance(item, str) for item in body[name]):
+                raise MalformedDocument(f"{name} entries must be strings")
         self._verify_sender(doc, body, expected_hex=round_sender_hex(body))
         if state is None:
             self._require_no_open_negotiation(body["initiator"], body["responder"])
@@ -340,12 +349,7 @@ class NegotiationParty:
                 responder_hex=body["responder"],
                 i_am_initiator=False,
             )
-            self.states[negotiation_id] = state
-        state.transition(Phase.PROPOSAL_RECEIVED)
-        state.round = body["round"]
-        state.seen_nonces.add(body["nonce"])
-        state.history.append(doc)
-        state.last_received_proposal = doc
+        self._advance(state, Phase.PROPOSAL_RECEIVED, doc)
         if stamp is not None:
             self._burn_stamp(stamp)
 
@@ -361,7 +365,7 @@ class NegotiationParty:
     def receive_confirmation(self, doc: dict) -> None:
         body = self._checked_common_body(doc, CONFIRMATION, {"proposal": dict})
         state = self._known_state(body["negotiation_id"])
-        if body["nonce"] in state.seen_nonces:
+        if state.saw_nonce(body["nonce"]):
             raise ReplayedNonce("nonce already seen in this negotiation")
         if state.phase in TERMINAL_PHASES:
             raise StateViolation(f"negotiation already {state.phase.value}")
@@ -373,10 +377,7 @@ class NegotiationParty:
             body["proposal"]
         ) != wire.canonical_bytes(state.last_sent_proposal):
             raise MismatchedEmbedding("embedded proposal is not the one this party sent")
-        state.transition(Phase.AGREED)
-        state.seen_nonces.add(body["nonce"])
-        state.history.append(doc)
-        self.records[state.negotiation_id] = build_record(doc, state.history)
+        self._advance(state, Phase.AGREED, doc)
         return None
 
     def receive_cancel(self, doc: dict) -> None:
@@ -384,15 +385,13 @@ class NegotiationParty:
             doc, CANCEL, {"reason": str, "unsatisfiable": list}
         )
         state = self._known_state(body["negotiation_id"])
-        if body["nonce"] in state.seen_nonces:
+        if state.saw_nonce(body["nonce"]):
             raise ReplayedNonce("nonce already seen in this negotiation")
         if state.phase in TERMINAL_PHASES:
             raise StateViolation(f"negotiation already {state.phase.value}")
         self._check_freshness(body["timestamp"])
         self._verify_sender(doc, body, expected_hex=state.peer_hex)
-        state.transition(Phase.CANCELLED)
-        state.seen_nonces.add(body["nonce"])
-        state.history.append(doc)
+        self._advance(state, Phase.CANCELLED, doc)
         return None
 
     # --- decision plumbing ---------------------------------------------------
@@ -439,10 +438,7 @@ class NegotiationParty:
             "timestamp": self.hooks.timestamp(),
         }
         doc = self._signed(CONFIRMATION, body)
-        state.transition(Phase.AGREED)
-        state.seen_nonces.add(body["nonce"])
-        state.history.append(doc)
-        self.records[state.negotiation_id] = build_record(doc, state.history)
+        self._advance(state, Phase.AGREED, doc)
         return doc
 
     def _emit_counter(self, state: NegotiationState, received_body: dict, entries) -> dict:
@@ -466,20 +462,32 @@ class NegotiationParty:
             responder_hex=state.responder_hex,
             stamp=stamp,
         )
-        state.transition(Phase.PROPOSAL_SENT)
-        state.round = received_body["round"] + 1
-        state.seen_nonces.add(doc["body"]["nonce"])
-        state.history.append(doc)
-        state.last_sent_proposal = doc
+        self._advance(state, Phase.PROPOSAL_SENT, doc)
         return doc
 
     def _emit_cancel(self, state: NegotiationState, detail) -> dict:
         reason, unsatisfiable = detail
         doc = self._make_cancel(state, reason, unsatisfiable)
-        state.transition(Phase.CANCELLED)
-        state.seen_nonces.add(doc["body"]["nonce"])
-        state.history.append(doc)
+        self._advance(state, Phase.CANCELLED, doc)
         return doc
+
+    def _advance(self, state: NegotiationState, phase: Phase, doc: dict) -> None:
+        """Move a negotiation to ``phase`` on a message sent or accepted.
+
+        The only place state changes: the transition, the transcript, the
+        round of a proposal, the proposal awaiting an answer, the agreed
+        record, and the state and pair indexes.
+        """
+        state.transition(phase)
+        state.history.append(doc)
+        if doc["type"] == PROPOSAL:
+            state.round = doc["body"]["round"]
+        if phase is Phase.PROPOSAL_SENT:
+            state.last_sent_proposal = doc
+        elif phase is Phase.AGREED:
+            self.records[state.negotiation_id] = build_record(doc, state.history)
+        self.states[state.negotiation_id] = state
+        self._pair_states[(state.initiator_hex, state.responder_hex)] = state
 
     # --- message construction -------------------------------------------------
 
@@ -520,7 +528,7 @@ class NegotiationParty:
     # --- validation helpers ----------------------------------------------------
 
     def _checked_proposal_body(self, doc: dict) -> dict:
-        """Field shapes by type only, then freshness; nothing is parsed yet."""
+        """O(1) field shapes, then freshness; no list is walked, nothing parsed."""
         fields = {
             "round": int,
             "requirements": list,
@@ -535,9 +543,6 @@ class NegotiationParty:
             raise MalformedDocument("proposal needs 'kb_uri' and 'pow' fields")
         if body["pow"] is not None and not isinstance(body["pow"], str):
             raise MalformedDocument("'pow' must be a stamp string or null")
-        for name in ("requirements", "capabilities"):
-            if not all(isinstance(item, str) for item in body[name]):
-                raise MalformedDocument(f"{name} entries must be strings")
         self._check_freshness(body["timestamp"])
         return body
 
@@ -573,7 +578,6 @@ class NegotiationParty:
             raise InvalidPow("proof-of-work stamp required")
         try:
             stamp = HashcashStamp.parse(body["pow"])
-            payload = stamp.payload()
         except ValueError as exc:
             raise InvalidPow(str(exc)) from None
         if stamp.string() in self.stamp_replays:
@@ -587,6 +591,10 @@ class NegotiationParty:
         )
         if not check.ok:
             raise InvalidPow(f"stamp rejected: {check.code}")
+        try:
+            payload = stamp.payload()
+        except ValueError as exc:
+            raise InvalidPow(str(exc)) from None
         if (payload.initiator_hex, payload.responder_hex) != (
             body["initiator"],
             body["responder"],
@@ -630,15 +638,9 @@ class NegotiationParty:
         return state
 
     def _require_no_open_negotiation(self, initiator_hex: str, responder_hex: str) -> None:
-        for state in self.states.values():
-            if (
-                state.phase not in TERMINAL_PHASES
-                and (state.initiator_hex, state.responder_hex)
-                == (initiator_hex, responder_hex)
-            ):
-                raise StateViolation(
-                    "another negotiation between these parties is still open"
-                )
+        state = self._pair_states.get((initiator_hex, responder_hex))
+        if state is not None and state.phase not in TERMINAL_PHASES:
+            raise StateViolation("another negotiation between these parties is still open")
 
 
 def build_record(confirmation_doc: dict, transcript: list) -> dict:

@@ -5,6 +5,8 @@ import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssla.hashcash import (
     ExtensionPayload,
@@ -14,6 +16,7 @@ from ssla.hashcash import (
     leading_zero_bits,
     mint,
     negotiation_id_from,
+    parse_stamp_date,
     verify_stamp,
 )
 
@@ -183,3 +186,48 @@ def test_bad_stamp_strings_rejected():
         HashcashStamp.parse("2:12:260101:r:e:r:c")
     with pytest.raises(ValueError):
         mint("has:colon", EXT, make_policy(0))
+
+
+two_digit_fields = st.one_of(
+    st.tuples(*(st.integers(0, 99) for _ in range(6))),
+    st.datetimes(min_value=datetime(1969, 1, 1), max_value=datetime(2068, 12, 31)).map(
+        lambda m: (m.year % 100, m.month, m.day, m.hour, m.minute, m.second)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=two_digit_fields)
+def test_stamp_date_equals_strptime_on_twelve_digits(fields):
+    text = "".join(f"{v:02d}" for v in fields)
+    try:
+        expected = datetime.strptime(text, "%y%m%d%H%M%S").replace(tzinfo=timezone.utc)
+    except ValueError:
+        assert parse_stamp_date(text) is None
+    else:
+        assert parse_stamp_date(text) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    moment=st.datetimes(min_value=datetime(1969, 1, 1), max_value=datetime(2068, 12, 31)),
+    unpadded=st.sets(st.integers(1, 5), min_size=1),
+)
+def test_stamp_date_refuses_unpadded_fields(moment, unpadded):
+    values = (moment.year % 100, moment.month, moment.day, moment.hour, moment.minute,
+              moment.second)
+    text = "".join(str(v) if i in unpadded else f"{v:02d}" for i, v in enumerate(values))
+    if len(text) == 12:
+        return  # every field chosen for unpadding was two digits wide anyway
+    assert parse_stamp_date(text) is None
+    stamp = mint("res", EXT, make_policy(0), rng=random.Random(18), now=NOW)
+    unpadded_stamp = HashcashStamp.parse(stamp.string().replace(stamp.date, text, 1))
+    check = verify_stamp(unpadded_stamp, "res", make_policy(0), None, now=NOW)
+    assert check.code == "date_format"
+
+
+def test_stamp_date_out_of_range_or_not_ascii_is_date_format():
+    stamp = mint("res", EXT, make_policy(0), rng=random.Random(19), now=NOW)
+    for date in ("261301000000", "260230000000", "260101240000", "260101000060", "2601010000٠٠"):
+        bad = HashcashStamp.parse(stamp.string().replace(stamp.date, date, 1))
+        assert verify_stamp(bad, "res", make_policy(0), None, now=NOW).code == "date_format"

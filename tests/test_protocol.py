@@ -1,6 +1,6 @@
 import copy
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +44,7 @@ from ssla.protocol import (
     ProtocolPolicy,
     build_record,
 )
+from ssla.service import NegotiationService
 
 
 def resign(doc, key):
@@ -667,3 +668,212 @@ def test_accepted_stamp_prunes_expired_replays_and_rejection_does_not(kb, user_k
     assert len(sp.stamp_replays) == 1  # a rejection never prunes
     sp.receive_proposal(proposal)
     assert list(sp.stamp_replays._seen) == [proposal["body"]["pow"]]
+
+
+# --- admission at the hash floor ---------------------------------------------
+
+padded_fields = st.one_of(
+    st.tuples(
+        st.integers(0, 9999), st.integers(0, 99), st.integers(0, 99),
+        st.integers(0, 99), st.integers(0, 99), st.integers(0, 99),
+    ),
+    st.datetimes(min_value=datetime(1, 1, 1)).map(
+        lambda m: (m.year, m.month, m.day, m.hour, m.minute, m.second)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=padded_fields)
+def test_parse_timestamp_equals_strptime_on_zero_padded_input(fields):
+    text = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format(*fields)
+    try:
+        expected = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    except ValueError:
+        with pytest.raises(MalformedDocument):
+            ssla.protocol.parse_timestamp(text)
+    else:
+        assert ssla.protocol.parse_timestamp(text) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    moment=st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9999, 12, 31)),
+    unpadded=st.sets(st.integers(1, 5), min_size=1),
+    lower=st.sampled_from(["", "T", "Z"]),
+)
+def test_parse_timestamp_refuses_what_strptime_let_through(moment, unpadded, lower):
+    values = (moment.year, moment.month, moment.day, moment.hour, moment.minute, moment.second)
+    shown = [
+        str(v) if i in unpadded else f"{v:0{4 if i == 0 else 2}d}" for i, v in enumerate(values)
+    ]
+    text = "{}-{}-{}T{}:{}:{}Z".format(*shown)
+    if lower:
+        text = text.replace(lower, lower.lower())
+    elif text == moment.strftime("%Y-%m-%dT%H:%M:%SZ"):
+        return  # every field chosen for unpadding was two digits wide anyway
+    datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")  # the parent's parser took it
+    with pytest.raises(MalformedDocument):
+        ssla.protocol.parse_timestamp(text)
+
+
+def small_junk(kind, user, sp):
+    """The small first-contact junk kinds: a garbage stamp, a weak stamp, a replay."""
+    proposal = user.initiate(sp.identity.hex)
+    if kind == "replayed_round1":
+        sp.receive_proposal(proposal)
+        return copy.deepcopy(proposal)
+    junk = copy.deepcopy(proposal)
+    if kind == "garbage_stamp":
+        junk["body"]["pow"] = "garbage-stamp"
+    else:
+        stamp = weak_stamp(sp.identity.hex, user.identity.hex, sp.identity.hex)
+        junk["body"]["pow"] = stamp.string()
+        junk["body"]["negotiation_id"] = negotiation_id_from(stamp)
+    return junk
+
+
+@pytest.mark.parametrize("kind", ["garbage_stamp", "weak_stamp", "replayed_round1"])
+def test_small_junk_is_refused_without_strptime(kb, user_key, sp_key, monkeypatch, kind):
+    import _strptime
+
+    user = make_user(kb, user_key, requirements=SCENARIO_SSLA)
+    sp = make_sp(kb, sp_key)
+    junk = small_junk(kind, user, sp)
+    calls = []
+    real = _strptime._strptime_datetime
+    monkeypatch.setattr(
+        _strptime, "_strptime_datetime", lambda *args: calls.append(args) or real(*args)
+    )
+    status, reply, _ = NegotiationService(sp).handle("POST", "/negotiations", junk)
+    assert reply["type"] == "error"
+    assert reply["body"]["code"] in ("invalid_pow", "replayed_nonce")
+    assert calls == []
+
+
+class CountedList(list):
+    """A list that counts how often anything iterates it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        CountedList.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("stamp_kind", ["garbage", "weak"])
+def test_big_unpaid_first_contact_never_walks_its_entry_lists(
+    kb, user_key, sp_key, monkeypatch, stamp_kind
+):
+    user = make_user(kb, user_key)
+    sp = make_sp(kb, sp_key)
+    kind = "garbage_stamp" if stamp_kind == "garbage" else "weak_stamp"
+    junk = small_junk(kind, user, sp)
+    body = junk["body"]
+    body["requirements"] = CountedList(body["requirements"])
+    body["capabilities"] = CountedList(
+        f"Technique.{9000 + i // 1000}.{i % 1000}" for i in range(JUNK_ENTRIES)
+    )
+    monkeypatch.setattr(CountedList, "iterations", 0)
+    status, reply, _ = NegotiationService(sp).handle("POST", "/negotiations", junk)
+    assert (status, reply["body"]["code"]) == (403, "invalid_pow")
+    assert CountedList.iterations == 0
+
+
+@pytest.mark.parametrize("stamp_kind", ["paid", "garbage"])
+def test_item_types_are_checked_after_the_stamp_and_before_rsa(
+    kb, user_key, sp_key, monkeypatch, stamp_kind
+):
+    user = make_user(kb, user_key)
+    sp = make_sp(kb, sp_key)
+    proposal = copy.deepcopy(user.initiate(sp.identity.hex))
+    proposal["body"]["capabilities"] = ["Technique.7.2", 7]
+    if stamp_kind == "garbage":
+        proposal["body"]["pow"] = "garbage-stamp"
+    proposal = resign(proposal, user_key)
+    calls = count_costly_calls(monkeypatch, kb)
+    expected = MalformedDocument if stamp_kind == "paid" else InvalidPow
+    with pytest.raises(expected):
+        sp.receive_proposal(proposal)
+    assert calls == {"parse": 0, "kb": 0, "verify": 0}
+
+
+def open_pair_by_scan(party, initiator_hex, responder_hex):
+    """The reference: scan every state the party holds."""
+    return any(
+        state.phase not in ssla.protocol.TERMINAL_PHASES
+        and (state.initiator_hex, state.responder_hex) == (initiator_hex, responder_hex)
+        for state in party.states.values()
+    )
+
+
+def open_pair_by_lookup(party, initiator_hex, responder_hex):
+    try:
+        party._require_no_open_negotiation(initiator_hex, responder_hex)
+    except StateViolation:
+        return True
+    return False
+
+
+pair_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("initiate"), st.integers(0, 2), st.integers(1, 2)),
+        st.tuples(st.just("deliver"), st.integers(0, 50), st.booleans()),
+        st.tuples(st.just("cancel"), st.integers(0, 2), st.integers(0, 50)),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(operations=pair_operations)
+def test_open_pair_lookup_agrees_with_a_scan_of_every_state(
+    kb, user_key, sp_key, other_key, operations
+):
+    policy = ProtocolPolicy(pow=PowPolicy(required_bits=0))
+    parties = [
+        NegotiationParty(
+            private_key=key, kb=kb,
+            requirements=make_user(kb, key).requirements,
+            capabilities=make_sp(kb, key).capabilities,
+            policy=policy, provides_service=True, hooks=Hooks.deterministic(60 + index),
+        )
+        for index, key in enumerate((user_key, sp_key, other_key))
+    ]
+    by_hex = {party.identity.hex: party for party in parties}
+    in_flight = []  # (addressee, document)
+
+    for op, a, b in operations:
+        if op == "initiate":
+            sender, receiver = parties[a], parties[(a + b) % 3]
+            try:
+                in_flight.append((receiver, sender.initiate(receiver.identity.hex)))
+            except StateViolation:
+                assert open_pair_by_scan(sender, sender.identity.hex, receiver.identity.hex)
+        elif op == "deliver" and in_flight:
+            receiver, doc = in_flight[a % len(in_flight)]
+            if not b:
+                in_flight.remove((receiver, doc))
+            try:
+                reply = receiver.receive(doc)
+            except SslaError:
+                reply = None
+            if reply is not None:
+                sender_hex = ssla.protocol.derive_identity(
+                    ssla.protocol.public_key_from_wire(doc["body"]["sender_key"])
+                ).hex
+                in_flight.append((by_hex[sender_hex], reply))
+        elif op == "cancel":
+            party = parties[a]
+            open_ids = [n for n, s in party.states.items()
+                        if s.phase not in ssla.protocol.TERMINAL_PHASES]
+            if open_ids:
+                nid = open_ids[b % len(open_ids)]
+                doc = party.cancel(nid, "changed my mind")
+                peer = by_hex[party.states[nid].peer_hex]
+                in_flight.append((peer, doc))
+        for party in parties:
+            for initiator in parties:
+                for responder in parties:
+                    pair = (initiator.identity.hex, responder.identity.hex)
+                    assert open_pair_by_lookup(party, *pair) == open_pair_by_scan(party, *pair)
